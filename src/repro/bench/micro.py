@@ -6,6 +6,11 @@ kernels; this benchmark times the kernels *alone* — the interval algebra
 version-chain bisects (``floor_before``/``install``/``purge_before``) — so
 a speedup (or regression) is attributable below the cluster level.
 
+Besides the all-pairs corpus of small sets, a one-vs-many corpus pairs a
+single piece with a ``MANY_PIECES``-piece set, in alternating argument
+order: the shape of the lock table's probes of, and seals into, a hot
+key's sealed aggregates, which the pure kernels serve by binary search.
+
 The corpus is generated from a seeded RNG and is identical for both
 backends; the active backend (``repro._fastcore.BACKEND``) is whatever the
 process imported, so CI runs this once per ``REPRO_FASTCORE`` setting.
@@ -32,6 +37,10 @@ __all__ = ["run_micro"]
 
 #: Interval-set corpus size; ops run all-pairs-ish slices of it.
 SETS = 400
+#: Pieces of the many side in the one-vs-many corpus: the mean
+#: ``iv_union`` input measured on the ``mvtil-contended`` benchmark
+#: workload.
+MANY_PIECES = 36
 #: Version-chain corpus: keys x versions installed per key.
 VC_KEYS = 50
 VC_VERSIONS = 400
@@ -47,6 +56,15 @@ def _random_set(rng: np.random.Generator, max_pieces: int = 6) -> IntervalSet:
         b = Timestamp(lo + width, int(rng.integers(0, 4)))
         pieces.append(TsInterval.closed(min(a, b), max(a, b)))
     return IntervalSet(pieces)
+
+
+def _many_piece_set(rng: np.random.Generator, pieces: int) -> IntervalSet:
+    """``pieces`` disjoint pieces between sorted distinct grid points."""
+    points = np.sort(rng.choice(10_000, size=2 * pieces, replace=False))
+    return IntervalSet(
+        TsInterval.closed(Timestamp(float(points[i]) / 16.0, 0),
+                          Timestamp(float(points[i + 1]) / 16.0, 3))
+        for i in range(0, 2 * pieces, 2))
 
 
 def _time(label: str, n_ops: int, fn: Callable[[], None],
@@ -67,6 +85,13 @@ def run_micro(seed: int = 2026, repeat: int = 3) -> int:
     # Pair each set with a rotated partner: deterministic, mostly
     # overlapping (same value range), so the kernels do real merge work.
     pairs = [(flats[i], flats[(i + 1) % SETS]) for i in range(SETS)]
+    # One piece (a request or a sealed lock) against a sealed aggregate,
+    # both argument orders: probes pass the piece first, seals second.
+    one_many = []
+    for i in range(SETS):
+        one = _random_set(rng, max_pieces=1).flat
+        many = _many_piece_set(rng, MANY_PIECES).flat
+        one_many.append((one, many) if i % 2 else (many, one))
 
     # Version-chain corpus: per-key install order is a seeded shuffle of a
     # sorted timeline, so installs hit interior bisect positions.
@@ -77,9 +102,9 @@ def run_micro(seed: int = 2026, repeat: int = 3) -> int:
         order = rng.permutation(VC_VERSIONS)
         timelines.append((f"k{k:04d}", ts, order))
 
-    def bench_pairwise(op):
+    def bench_pairwise(op, corpus=pairs):
         def run():
-            for a, b in pairs:
+            for a, b in corpus:
                 op(a, b)
         return run
 
@@ -117,6 +142,11 @@ def run_micro(seed: int = 2026, repeat: int = 3) -> int:
         _time("iv_intersect", len(pairs), bench_pairwise(iv_intersect), rows)
         _time("iv_union", len(pairs), bench_pairwise(iv_union), rows)
         _time("iv_subtract", len(pairs), bench_pairwise(iv_subtract), rows)
+        for name, op in (("iv_intersect", iv_intersect),
+                         ("iv_union", iv_union),
+                         ("iv_subtract", iv_subtract)):
+            _time(f"{name} 1v{MANY_PIECES}", len(one_many),
+                  bench_pairwise(op, one_many), rows)
         _time("iv_contains", len(flats), bench_contains, rows)
         store = VersionStore()
         _time("vc_install", VC_KEYS * VC_VERSIONS,
@@ -131,14 +161,14 @@ def run_micro(seed: int = 2026, repeat: int = 3) -> int:
 
     for label, (n, wall) in best.items():
         rate = n / wall if wall > 0 else float("inf")
-        print(f"  {label:>16s}: {rate:>12,.0f} ops/s  "
+        print(f"  {label:>17s}: {rate:>12,.0f} ops/s  "
               f"({n} ops in {wall * 1e3:.2f} ms)")
 
     failures = []
     if BACKEND == "c":
-        # Differential smoke on the timed corpus: the compiled kernels must
-        # agree with the pure reference on every sampled input.
-        for a, b in pairs[:100]:
+        # Differential smoke on the timed corpora: the compiled kernels
+        # must agree with the pure reference on every sampled input.
+        for a, b in pairs[:100] + one_many[:100]:
             for name, fast, pure in (
                     ("iv_intersect", iv_intersect, _pure.iv_intersect),
                     ("iv_union", iv_union, _pure.iv_union),

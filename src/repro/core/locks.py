@@ -42,6 +42,13 @@ __all__ = [
 
 TxId = Hashable
 
+#: Pieces from which a key caches its sealed-blocker union.  Smaller unions
+#: are cheaper to re-merge on each WRITE probe than to keep current on each
+#: seal: on uniform keys seals outnumber those probes about two to one, and
+#: nearly every union there is under four pieces.  Hot keys pass this
+#: within their first few seals.
+SEALED_CACHE_MIN_PIECES = 4
+
 
 class LockMode(enum.Enum):
     """Lock mode of a freezable timestamp lock."""
@@ -151,8 +158,8 @@ class KeyLockState:
     """
 
     __slots__ = ("_owners", "version", "_sealed_read", "_sealed_write",
-                 "_sealed_spans", "_rc_version", "_rc_count",
-                 "_fwr_version", "_fwr_cache")
+                 "_sealed_blockers", "_sealed_spans", "_rc_version",
+                 "_rc_count", "_fwr_version", "_fwr_cache")
 
     #: Owner id reported for conflicts with sealed (ownerless) lock state.
     SEALED = "<sealed>"
@@ -169,6 +176,13 @@ class KeyLockState:
         # are reported frozen, and only purging removes it.
         self._sealed_read: IntervalSet = EMPTY_SET
         self._sealed_write: IntervalSet = EMPTY_SET
+        # What sealed state blocks a WRITE request: sealed_write ∪
+        # sealed_read.  None until a WRITE probe merges the two aggregates
+        # into at least SEALED_CACHE_MIN_PIECES pieces; from then on seal()
+        # and purge_below() keep it current in place (a one-piece union or
+        # a bound subtraction) instead of every probe re-merging the two
+        # aggregates — tens of pieces each on a hot key.
+        self._sealed_blockers: IntervalSet | None = None
         # Metric record list: one span per lock record an implementation
         # without merging would store (Fig. 6's "number of locks").  Kept
         # raw — never re-compacted — so purging can subtract exactly the
@@ -248,10 +262,16 @@ class KeyLockState:
             elif n:
                 for i in range(0, n, 4):
                     spans.append(flat[i:i + 4])
+        blockers = self._sealed_blockers
         if reads:
             self._sealed_read = self._sealed_read.union(reads)
+            if blockers is not None:
+                blockers = blockers.union(reads)
         if ol.frozen_write:
             self._sealed_write = self._sealed_write.union(ol.frozen_write)
+            if blockers is not None:
+                blockers = blockers.union(ol.frozen_write)
+        self._sealed_blockers = blockers
         self.version += 1
 
     def sealed_read_ranges(self) -> IntervalSet:
@@ -403,6 +423,8 @@ class KeyLockState:
                 or new_sealed_write != self._sealed_write):
             self._sealed_read = new_sealed_read
             self._sealed_write = new_sealed_write
+            if self._sealed_blockers is not None:
+                self._sealed_blockers = self._sealed_blockers.subtract(bound)
             # Trim each sealed record individually: drop what the purge
             # removed, keep every surviving piece as its own record.  The
             # metric tracks an implementation without merging, so purging
@@ -443,14 +465,18 @@ class KeyLockState:
         free = want
         conflicts: list[Conflict] = []
         # Sealed (ended-transaction) state first: permanent, hence frozen.
-        # Avoid the union allocation when one (or both) aggregates is empty
-        # — the dominant case on lightly written keys.
+        # One aggregate alone needs no union — the dominant case on lightly
+        # written keys.
         if mode is LockMode.READ or self._sealed_read.is_empty:
             sealed_blockers = self._sealed_write
         elif self._sealed_write.is_empty:
             sealed_blockers = self._sealed_read
         else:
-            sealed_blockers = self._sealed_write.union(self._sealed_read)
+            sealed_blockers = self._sealed_blockers
+            if sealed_blockers is None:
+                sealed_blockers = self._sealed_write.union(self._sealed_read)
+                if len(sealed_blockers) >= SEALED_CACHE_MIN_PIECES:
+                    self._sealed_blockers = sealed_blockers
         if sealed_blockers:
             overlap = want.intersect(sealed_blockers)
             if not overlap.is_empty:

@@ -32,6 +32,14 @@ def timestamps(min_value: float = 0.0, max_value: float = 100.0):
     return st.builds(Timestamp, value=values, pid=pids)
 
 
+def grid_timestamps():
+    """Timestamps on a dense grid (7 pids per value, the layout
+    :func:`many_piece_sets` uses): equal values with pids one apart are
+    common, so adjacency cases come up often."""
+    return st.builds(Timestamp, value=st.integers(0, 40).map(float),
+                     pid=st.integers(-3, 3))
+
+
 def intervals():
     """Non-empty canonical closed intervals."""
 
@@ -44,6 +52,30 @@ def intervals():
 def interval_sets(max_pieces: int = 4):
     return st.lists(intervals(), min_size=0, max_size=max_pieces).map(
         IntervalSet)
+
+
+def many_piece_sets(max_pieces: int = 48):
+    """Sets of 1..``max_pieces`` pieces with endpoints on the dense grid.
+
+    Random intervals overlap and merge into a few pieces; these pieces
+    instead sit between strictly increasing grid points, like the sealed
+    aggregates of a hot key.  Gaps of one grid step make neighbours
+    adjacent, so some pieces still merge.
+    """
+
+    def build(gaps: list[int]) -> IntervalSet:
+        points = []
+        idx = 0
+        for gap in gaps:
+            idx += gap
+            points.append(Timestamp(float(idx // 7), idx % 7 - 3))
+        return IntervalSet(TsInterval(points[i], points[i + 1])
+                           for i in range(0, len(points), 2))
+
+    # Draw the piece count first: plain list strategies favour short lists.
+    return st.integers(1, max_pieces).flatmap(
+        lambda n: st.lists(st.integers(1, 3), min_size=2 * n,
+                           max_size=2 * n)).map(build)
 
 
 @pytest.fixture

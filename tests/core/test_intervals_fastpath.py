@@ -18,11 +18,14 @@ The compiled parametrization skips cleanly when the extension isn't built.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._fastcore import kernels as pure_kernels
 from repro.core.intervals import EMPTY_SET, IntervalSet, TsInterval, ts_succ
-from tests.conftest import interval_sets, intervals, timestamps
+from repro.core.timestamp import Timestamp
+from tests.conftest import (grid_timestamps, interval_sets, intervals,
+                            many_piece_sets, timestamps)
 
 try:
     from repro._fastcore import _kernels_c as c_kernels
@@ -192,6 +195,93 @@ class TestKernelBackends:
     def test_normalize_idempotent(self, backend, a):
         quads = [tuple(a.flat[i:i + 4]) for i in range(0, len(a.flat), 4)]
         assert backend.iv_normalize(quads) == a.flat
+
+
+@st.composite
+def one_vs_many(draw):
+    """A one-piece operand (a range or a point, like a write lock) and a
+    many-piece set.
+
+    The piece's endpoints are mostly the set's endpoints or their pid
+    neighbours — where the one-vs-many paths draw their boundaries — as
+    fresh float objects, so tie rules stay visible to ``is`` checks.
+    """
+    many = draw(many_piece_sets())
+    f = many.flat
+    marks = [Timestamp(f[i] + 0.0, f[i + 1] + d)
+             for i in range(0, len(f), 2) for d in (-1, 0, 1)]
+    point = st.one_of(st.sampled_from(marks), grid_timestamps(),
+                      timestamps())
+    a = draw(point)
+    b = draw(st.one_of(st.just(a), point))
+    return TsInterval(min(a, b), max(a, b)), many
+
+
+def assert_identity_contract(got: tuple, a: tuple, b: tuple,
+                             want: tuple) -> None:
+    """A result equal to an operand IS that operand (``a`` first);
+    otherwise every value scalar is the very object the reference picked
+    from the inputs — which also pins the tie rules (equal ``lo``: ``a``'s
+    piece first; equal endpoints: ``a``'s kept)."""
+    if want == a:
+        assert got is a
+    elif want == b:
+        assert got is b
+    else:
+        assert all(x is y for x, y in zip(got[::2], want[::2]))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestOneVsMany:
+    """One piece against up to 48 pieces, in both argument orders.
+
+    This is the lock table's hot shape on contended keys (a request or a
+    sealed lock against a sealed aggregate), and the shape the pure
+    kernels' binary-search paths serve; ``interval_sets`` above stays at
+    four pieces and rarely reaches them.  The boundary cases (equal or
+    adjacent endpoints) are a few percent of draws, hence more examples.
+    """
+
+    @staticmethod
+    def check(op, ref, one: IntervalSet, many: IntervalSet) -> None:
+        for a, b in ((one, many), (many, one)):
+            got = op(a.flat, b.flat)
+            want = ref(a, b).flat
+            assert got == want
+            assert_identity_contract(got, a.flat, b.flat, want)
+
+    @settings(max_examples=300)
+    @given(one_vs_many())
+    def test_union(self, backend, case):
+        piece, many = case
+        self.check(backend.iv_union, ref_union,
+                   IntervalSet.from_interval(piece), many)
+
+    @settings(max_examples=300)
+    @given(one_vs_many())
+    def test_intersect(self, backend, case):
+        piece, many = case
+        self.check(backend.iv_intersect, ref_intersect,
+                   IntervalSet.from_interval(piece), many)
+
+    @settings(max_examples=300)
+    @given(one_vs_many())
+    def test_subtract(self, backend, case):
+        piece, many = case
+        self.check(backend.iv_subtract, ref_subtract,
+                   IntervalSet.from_interval(piece), many)
+
+    @given(many_piece_sets().filter(lambda s: len(s) >= 2))
+    def test_operand_reuse(self, backend, many):
+        # A piece of the set is inside it, and the set covers that piece:
+        # both results equal an operand and must be that operand.
+        f = many.flat
+        k = len(f) // 8 * 4  # the middle piece, copied into a new tuple
+        piece = f[k:k + 2] + f[k + 2:k + 4]
+        assert backend.iv_union(piece, f) is f
+        assert backend.iv_union(f, piece) is f
+        assert backend.iv_intersect(piece, f) is piece
+        assert backend.iv_intersect(f, piece) is piece
 
 
 @pytest.mark.skipif(c_kernels is None,
