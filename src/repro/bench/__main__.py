@@ -205,8 +205,8 @@ def run_failover(seed: int = 17) -> int:
       measurement window is present on its group's *current* leader
       (modulo legitimate GC purging below the stable floor);
     * bounded failover — the controller promoted an up-to-date follower
-      within ``heartbeat_interval * (miss_limit + 2)`` plus one ping of
-      slack after the crash;
+      within ``HEARTBEAT_INTERVAL * (heartbeat_miss_limit + 2)`` plus one
+      ping of slack after the crash;
     * version-clean follower reads — snapshot transactions were actually
       served by followers, and both surviving histories (interval-locked
       writers *and* locked-timestamp snapshot readers together) are
@@ -214,8 +214,9 @@ def run_failover(seed: int = 17) -> int:
     * liveness — no unfrozen write lock (leader or mirrored follower
       hold) survives the settle window owned by a crashed coordinator.
     """
-    from ..dist.cluster import ClusterConfig, run_cluster
+    from ..dist.cluster import ClusterConfig, ReplicationConfig, run_cluster
     from ..dist.failure import ChaosConfig
+    from ..repl import HEARTBEAT_INTERVAL
     from ..sim.testbed import LOCAL_TESTBED
     from ..verify import check_serializable
     from ..workload.generator import WorkloadConfig
@@ -230,12 +231,12 @@ def run_failover(seed: int = 17) -> int:
         num_servers=3, num_clients=10, seed=seed,
         warmup=1.5, measure=2.5, gc_period=0.2,
         write_lock_timeout=0.25, rpc_timeout=0.15,
-        replication=3, durability="wal", checkpoint_every=64,
-        follower_reads=True, record_history=True,
+        replication=ReplicationConfig(follower_reads=True), wal=True,
+        record_history=True,
         chaos=ChaosConfig(leader_crashes=1, leader_downtime=0.6))
-    latency_bound = (config.heartbeat_interval
-                     * (config.heartbeat_miss_limit + 2)
-                     + config.heartbeat_interval)
+    latency_bound = (HEARTBEAT_INTERVAL
+                     * (config.replication.heartbeat_miss_limit + 2)
+                     + HEARTBEAT_INTERVAL)
 
     print("== failover: replicated leader crash (same seed, two runs) ==")
     runs = [run_cluster(config) for _ in range(2)]
@@ -323,9 +324,10 @@ def run_selfheal(seed: int = 17) -> int:
     * liveness + isolation — no orphaned write locks, and both surviving
       histories are MVSG-serializable.
     """
-    from ..dist.cluster import ClusterConfig, run_cluster
+    from ..dist.cluster import (ClusterConfig, ReplicationConfig,
+                                SelfHealConfig, run_cluster)
     from ..dist.failure import ChaosConfig
-    from ..repl import write_quorum
+    from ..repl import REPLICATION_FACTOR, write_quorum
     from ..sim.network import LinkFaults
     from ..sim.testbed import LOCAL_TESTBED
     from ..verify import check_serializable
@@ -339,16 +341,17 @@ def run_selfheal(seed: int = 17) -> int:
         num_servers=4, num_clients=10, seed=seed,
         warmup=1.5, measure=3.5, gc_period=0.2,
         write_lock_timeout=0.25, rpc_timeout=0.15, rpc_retries=3,
-        replication=3, durability="wal", checkpoint_every=64,
-        follower_reads=True, record_history=True,
-        # Small sync batches stretch catch-up over many visible rounds so
-        # the dirty-refusal path is actually exercised mid-run.
-        anti_entropy=True, recruitment=True, reliable_fanout=True,
-        sync_batch=1, heartbeat_miss_limit=5,
+        replication=ReplicationConfig(
+            follower_reads=True, reliable_fanout=True,
+            heartbeat_miss_limit=5,
+            # Small sync batches stretch catch-up over many visible rounds
+            # so the dirty-refusal path is actually exercised mid-run.
+            self_heal=SelfHealConfig(recruitment=True, sync_batch=1)),
+        wal=True, record_history=True,
         faults=LinkFaults(loss=0.03, duplicate=0.02, delay_spike=0.01),
         chaos=ChaosConfig(leader_crashes=1, leader_downtime=0.6,
                           follower_restarts=1, follower_downtime=0.3))
-    quorum = write_quorum(config.replication)
+    quorum = write_quorum(REPLICATION_FACTOR)
 
     print("== selfheal: leader crash + follower restart + lossy links ==")
     runs = [run_cluster(config) for _ in range(2)]
@@ -448,7 +451,7 @@ def run_overload(seed: int = 13) -> int:
     * determinism — the deepest-overload controlled run, repeated with the
       same seed, reproduces identical commit/abort/shed/expired counters.
     """
-    from ..dist.cluster import ClusterConfig, run_cluster
+    from ..dist.cluster import AdmissionConfig, ClusterConfig, run_cluster
     from ..sim.testbed import CLOUD_TESTBED
     from ..workload.generator import WorkloadConfig
 
@@ -465,8 +468,8 @@ def run_overload(seed: int = 13) -> int:
         seed=seed, warmup=0.5, measure=2.0, protocol="mvtil-early",
         read_timeout=0.04, rpc_timeout=0.08, rpc_retries=1)
     controlled = replace(base, queue_capacity=16, tx_budget=0.15,
-                         admission_control=True, breaker_threshold=8,
-                         breaker_cooldown=0.1)
+                         admission=AdmissionConfig(threshold=8,
+                                                   cooldown=0.1))
     loads = (4, 8, 16, 32, 64)
 
     print("== overload: ramp past saturation, controlled vs unbounded ==")

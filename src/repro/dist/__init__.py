@@ -1,7 +1,9 @@
 """Distributed MVTL (§7, §H) and the §8 prototype protocols over the DES."""
 
-from .client import BaseClient, MVTILClient, MVTOClient, TwoPLClient
-from .cluster import PROTOCOLS, ClusterConfig, ClusterResult, run_cluster
+from .client import (AdmissionConfig, BaseClient, MVTILClient, MVTOClient,
+                     TwoPLClient)
+from .cluster import (PROTOCOLS, ClusterConfig, ClusterResult,
+                      ReplicationConfig, SelfHealConfig, run_cluster)
 from .commitment import ABORT, CommitmentObject, CommitmentRegistry
 from .failure import ChaosConfig, ChaosEvent, ChaosSchedule, CrashInjector
 from .gc_service import TimestampService
@@ -15,4 +17,5 @@ __all__ = [
     "TimestampService", "CrashInjector",
     "ChaosConfig", "ChaosEvent", "ChaosSchedule",
     "ClusterConfig", "ClusterResult", "run_cluster", "PROTOCOLS",
+    "AdmissionConfig", "ReplicationConfig", "SelfHealConfig",
 ]

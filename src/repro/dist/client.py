@@ -25,6 +25,7 @@ commitment object.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import count
 from types import SimpleNamespace
 from typing import Any, Generator, Hashable
@@ -52,8 +53,24 @@ from .partition import Partition
 #: every real client pid at the same clock value) — see gc_service.
 _PID_MIN = -(2**31)
 
-__all__ = ["BaseClient", "BohmClient", "CircuitBreaker", "MVTILClient",
-           "MVTOClient", "TwoPLClient"]
+__all__ = ["AdmissionConfig", "BaseClient", "BohmClient", "CircuitBreaker",
+           "MVTILClient", "MVTOClient", "TwoPLClient"]
+
+
+@dataclass(frozen=True)
+class AdmissionConfig:
+    """Client-side admission control: one :class:`CircuitBreaker` per server.
+
+    Consecutive overload signals (sheds, unanswered data RPCs) trip the
+    breaker and new normal transactions against that server abort
+    client-side until a half-open probe succeeds.  Critical transactions
+    bypass the gate.
+    """
+
+    #: Consecutive failures that trip a client's per-server breaker.
+    threshold: int = 8
+    #: Seconds a tripped breaker stays open before its half-open probe.
+    cooldown: float = 0.5
 
 
 class CircuitBreaker:
@@ -126,9 +143,7 @@ class BaseClient:
                  consensus: Any | None = None,
                  tracer: Any | None = None,
                  tx_budget: float | None = None,
-                 admission_control: bool = False,
-                 breaker_threshold: int = 8,
-                 breaker_cooldown: float = 0.5,
+                 admission: AdmissionConfig | None = None,
                  rng: np.random.Generator | None = None) -> None:
         self.sim = sim
         self.net = net
@@ -162,10 +177,9 @@ class BaseClient:
         #: ``AbortReason.DEADLINE_EXCEEDED``.  None = no deadlines.
         self.tx_budget = tx_budget
         #: Per-server circuit breakers (admission control); None = off.
+        self.admission = admission
         self._breakers: dict[Hashable, CircuitBreaker] | None = (
-            {} if admission_control else None)
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
+            {} if admission is not None else None)
         #: Seeded stream for retry-backoff jitter (None = no jitter —
         #: synchronized clients then retry in lockstep, the storm the
         #: jitter exists to break).
@@ -238,7 +252,7 @@ class BaseClient:
         breaker = self._breakers.get(server)
         if breaker is None:
             breaker = self._breakers[server] = CircuitBreaker(
-                self.breaker_threshold, self.breaker_cooldown)
+                self.admission.threshold, self.admission.cooldown)
         return breaker
 
     def _rpc(self, server: Hashable, msg: Any,
@@ -570,7 +584,7 @@ class MVTILClient(BaseClient):
         #: (``fanout_unacked``) and left to the mirrored-hold timeout.
         self.reliable_fanout = reliable_fanout
         #: Serve read-only transactions as lock-free snapshot reads at the
-        #: GC frontier, preferring follower replicas (needs replication>1).
+        #: GC frontier, preferring follower replicas (needs replication).
         self.follower_reads = follower_reads
         #: Bound on a read's server-side lock wait.  Waiting reads can form
         #: wait cycles with writers (the deadlock risk §4.3 notes for

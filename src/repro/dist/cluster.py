@@ -23,17 +23,22 @@ from ..obs.metrics import (MetricsRegistry, fold_trace,
 from ..obs.trace import Tracer
 from ..repl.checkpoint import DurableStore
 from ..repl.placement import ReplicatedPlacement
-from ..repl.replica import FailoverController, scan_lost_commits
+from ..repl.replica import (REPLICATION_FACTOR, FailoverController,
+                            ReplicationConfig, SelfHealConfig,
+                            scan_lost_commits)
 from ..sim.network import LinkFaults, Network
 from ..sim.rng import RngFactory
-from ..sim.simulator import Simulator, Sleep
+from ..sim.simulator import Simulator
 from ..sim.testbed import LOCAL_TESTBED, TestbedProfile
 from ..verify.history import HistoryRecorder
 from ..workload.generator import WorkloadConfig, WorkloadGenerator
 from ..workload.runner import closed_loop_client
-from ..workload.scenarios import SCENARIOS, make_scenario_generator
+# The module, not its names: the scenario registry is built with configs
+# from this package, so it may still be initialising when this runs.
+from ..workload import scenarios
 from ..workload.stats import RunStats, StateSampler
-from .client import BohmClient, MVTILClient, MVTOClient, TwoPLClient
+from .client import (AdmissionConfig, BohmClient, MVTILClient, MVTOClient,
+                     TwoPLClient)
 from .commitment import CommitmentRegistry
 from .failure import (ChaosConfig, ChaosSchedule, CrashInjector,
                       orphaned_write_locks)
@@ -41,10 +46,14 @@ from .gc_service import TimestampService
 from .partition import Partition
 from .server import BohmSequencerServer, MVTLServer, TwoPLServer
 
-__all__ = ["ClusterConfig", "ClusterResult", "run_cluster", "PROTOCOLS"]
+__all__ = ["AdmissionConfig", "ClusterConfig", "ClusterResult",
+           "ReplicationConfig", "SelfHealConfig", "run_cluster", "PROTOCOLS",
+           "WAL_CHECKPOINT_EVERY"]
 
 #: Protocols accepted by :class:`ClusterConfig`.
 PROTOCOLS = ("mvtil-early", "mvtil-late", "mvto", "2pl", "bohm")
+#: WAL records between checkpoints of a ``wal=True`` server.
+WAL_CHECKPOINT_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,6 @@ class ClusterConfig:
     delta: float = 0.005
     #: MVTIL read-lock wait bound (deadlock resolution for waiting reads).
     read_timeout: float = 0.25
-    #: 2PL lock-wait timeout (tuned for throughput, §8.4.1).
-    lock_timeout: float = 0.05
     #: Server-side unfrozen-write-lock timeout (§H failure handling).
     write_lock_timeout: float = 2.0
     #: Restarts per transaction before giving up (§8.1).
@@ -94,9 +101,6 @@ class ClusterConfig:
     #: never touches RNG streams or the event queue, so a traced run's
     #: outcome is bit-identical to the untraced run with the same seed.
     trace: bool = False
-    #: Sample server queue depths every N simulated seconds into the
-    #: metrics registry (0 = off; only meaningful with ``trace=True``).
-    queue_sample_period: float = 0.0
     #: Per-link fault model applied to every link (loss / duplication /
     #: delay spikes), sampled from a dedicated RNG stream.  None = the
     #: perfect network of the paper's TCP transport.
@@ -119,59 +123,15 @@ class ClusterConfig:
     #: requests: servers drop expired requests instead of serving stale
     #: work, clients stop retrying into saturation.  None = no deadlines.
     tx_budget: float | None = None
-    #: Per-server circuit breakers on the clients: consecutive overload
-    #: signals (sheds, unanswered data RPCs) trip the breaker and new
-    #: normal transactions against that server abort client-side until a
-    #: half-open probe succeeds.  Critical transactions bypass the gate.
-    admission_control: bool = False
-    #: Consecutive failures that trip a client's per-server breaker.
-    breaker_threshold: int = 8
-    #: Seconds a tripped breaker stays open before its half-open probe.
-    breaker_cooldown: float = 0.5
-    #: Key-group replication factor (repro.repl).  1 = the paper's
-    #: unreplicated deployment (plain partitioning, bit-identical seeds).
-    #: r > 1 places every key group on r servers in ring order: the leader
-    #: is the lock/conflict authority, write locks are mirrored onto a
-    #: write quorum of followers, and commit records fan out to every
-    #: member so a promoted follower already holds the committed data.
-    replication: int = 1
-    #: Per-server durability: "memory" = volatile stores that restart
-    #: empty (the seed behaviour); "wal" = every commit apply is logged to
-    #: a write-ahead log and ``restart()`` recovers versions + dedup
-    #: decisions by checkpoint load + log replay (repro.repl.wal).
-    durability: str = "memory"
-    #: WAL records between checkpoints (0 = never checkpoint; replay the
-    #: whole log on restart).  Only meaningful with ``durability="wal"``.
-    checkpoint_every: int = 128
-    #: Serve read-only transactions from follower replicas at a locked
-    #: (GC-floor) snapshot timestamp instead of running the interval
-    #: protocol.  Requires ``replication > 1``.
-    follower_reads: bool = False
-    #: Failover controller ping period; a leader missing
-    #: ``heartbeat_miss_limit`` consecutive replies is declared dead and a
-    #: follower is promoted.  Only runs when ``replication > 1``.
-    heartbeat_interval: float = 0.05
-    heartbeat_miss_limit: int = 3
-    #: Self-healing anti-entropy (DESIGN.md §5h): the failover controller
-    #: pokes dirty (restarted) members to stream missing committed
-    #: versions from their group leaders; a member that completes its full
-    #: sync plan clears ``snapshot_dirty`` and re-enters the follower-read
-    #: rotation.  Off = the §5e baseline where a restarted follower never
-    #: re-earns servability.  Requires ``replication > 1``.
-    anti_entropy: bool = False
-    #: Versions per SyncDelta batch (bounds sync message size/CPU).
-    sync_batch: int = 64
-    #: Dynamic membership: after every promotion the controller recruits a
-    #: clean outside server through the catch-up path and swaps it into
-    #: the demoted leader's slot (epoch bump), so repeated leader crashes
-    #: do not bleed the group's live quorum.  Requires ``anti_entropy``.
-    recruitment: bool = False
-    #: Acked, retried commit fan-out to group members (CommitAck replies)
-    #: instead of the paper's fire-and-forget notification.  The loss-
-    #: hardening for LinkFaults runs; decided transactions never fail on
-    #: the fan-out — exhausted retries are only counted.  Requires
-    #: ``replication > 1``.
-    reliable_fanout: bool = False
+    #: Per-server circuit breakers on the clients (None = off).
+    admission: AdmissionConfig | None = None
+    #: Replicated key groups (repro.repl).  None = the paper's unreplicated
+    #: deployment (plain partitioning, bit-identical seeds).
+    replication: ReplicationConfig | None = None
+    #: Per-server write-ahead log: ``restart()`` recovers versions + dedup
+    #: decisions by checkpoint load + log replay.  False = volatile stores
+    #: that restart empty (the paper's model).
+    wal: bool = False
     #: Named scenario from the workload zoo (repro.workload.scenarios).
     #: When set, each client runs that scenario's generator instead of the
     #: knob-driven WorkloadGenerator (``workload`` still supplies the
@@ -192,9 +152,8 @@ class ClusterConfig:
         if self.commitment not in ("local", "paxos"):
             raise ValueError(f"unknown commitment backend "
                              f"{self.commitment!r}")
-        if self.protocol == "2pl" and (
-                self.faults is not None
-                or (self.chaos is not None and self.chaos.any)):
+        crashes = self.chaos is not None and self.chaos.any
+        if self.protocol == "2pl" and (self.faults is not None or crashes):
             # 2PL has no recovery protocol: its commit is fire-and-forget
             # with no commitment object or write-lock timeout behind it, so
             # a lost commit message silently diverges the servers.
@@ -204,18 +163,16 @@ class ClusterConfig:
             # The single sequencer is the one authority and its state is
             # volatile — link faults are fine (dedup + retries absorb
             # duplicates and losses), but there is no crash recovery.
-            if self.chaos is not None and self.chaos.any:
+            if crashes:
                 raise ValueError("crash chaos requires a recovery protocol; "
                                  "the bohm sequencer does not have one")
-            if self.replication > 1 or self.follower_reads:
-                raise ValueError("bohm runs unreplicated (single sequencer)")
-            if self.durability == "wal":
-                raise ValueError("wal durability requires the MVTL commit "
-                                 "machinery; bohm has no per-key commit "
-                                 "decisions to log")
             if self.commitment != "local":
                 raise ValueError("bohm has no commitment objects; only the "
                                  "local backend is meaningful")
+        if self.wal and self.protocol in ("2pl", "bohm"):
+            raise ValueError(f"wal requires the MVTL commit machinery; "
+                             f"{self.protocol} has no per-key commit "
+                             f"decisions to log or replay")
         if (self.commitment == "paxos" and self.chaos is not None
                 and self.chaos.server_restarts > 0):
             # Epoch validation is race-free only under the local commitment
@@ -227,58 +184,43 @@ class ClusterConfig:
             raise ValueError("server restarts are not supported with the "
                              "paxos commitment backend (volatile lock loss "
                              "can race the multi-round decision)")
-        if self.durability not in ("memory", "wal"):
-            raise ValueError(f"unknown durability mode {self.durability!r}; "
-                             f"expected 'memory' or 'wal'")
-        if self.durability == "wal" and self.protocol == "2pl":
-            raise ValueError("wal durability requires the MVTL commit "
-                             "machinery; 2pl has no commit decisions to "
-                             "log or replay")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        if self.replication < 1:
-            raise ValueError("replication must be >= 1")
-        if self.heartbeat_interval <= 0 or self.heartbeat_miss_limit < 1:
-            raise ValueError("heartbeat_interval must be positive and "
-                             "heartbeat_miss_limit >= 1")
-        if self.replication > 1:
+        if self.replication is not None:
             if self.protocol not in ("mvtil-early", "mvtil-late"):
-                raise ValueError("replication > 1 requires an MVTIL "
-                                 "protocol (mirrored holds carry the "
-                                 "leader-granted interval locks)")
+                raise ValueError("replication requires an MVTIL protocol "
+                                 "(mirrored holds carry the leader-granted "
+                                 "interval locks)")
             if not self.batching:
-                raise ValueError("replication > 1 requires batching "
-                                 "(write locks are mirrored from the "
-                                 "per-server batch grants)")
+                raise ValueError("replication requires batching (write "
+                                 "locks are mirrored from the per-server "
+                                 "batch grants)")
             if self.commitment != "local":
-                raise ValueError("replication > 1 requires the local "
-                                 "commitment backend (the registry is the "
-                                 "replicated decision store)")
-        if self.follower_reads and self.replication <= 1:
-            raise ValueError("follower_reads requires replication > 1")
-        if self.sync_batch < 1:
-            raise ValueError("sync_batch must be >= 1")
-        if (self.anti_entropy or self.reliable_fanout) \
-                and self.replication <= 1:
-            raise ValueError("anti_entropy and reliable_fanout require "
-                             "replication > 1 (they harden the replica "
-                             "machinery)")
-        if self.recruitment and not self.anti_entropy:
-            raise ValueError("recruitment requires anti_entropy (a recruit "
-                             "joins through the catch-up sync path)")
-        if (self.chaos is not None and self.chaos.leader_crashes > 0
-                and self.replication <= 1):
-            raise ValueError("chaos.leader_crashes requires replication > 1 "
-                             "(a failover controller must exist to promote "
-                             "a follower)")
-        if (self.chaos is not None and self.chaos.follower_restarts > 0
-                and self.replication <= 1):
-            raise ValueError("chaos.follower_restarts requires "
-                             "replication > 1 (an unreplicated group has "
-                             "no followers to restart)")
-        if self.scenario is not None and self.scenario not in SCENARIOS:
+                raise ValueError("replication requires the local commitment "
+                                 "backend (the registry is the replicated "
+                                 "decision store)")
+            if self.server_count < REPLICATION_FACTOR:
+                raise ValueError(f"replication needs at least "
+                                 f"{REPLICATION_FACTOR} servers (have "
+                                 f"{self.server_count})")
+        elif self.chaos is not None and (self.chaos.leader_crashes
+                                         or self.chaos.follower_restarts):
+            raise ValueError("chaos.leader_crashes and "
+                             "chaos.follower_restarts require replication "
+                             "(only a replicated group has a follower to "
+                             "promote or restart)")
+        known = scenarios.SCENARIOS
+        if self.scenario is not None and self.scenario not in known:
             raise ValueError(f"unknown scenario {self.scenario!r}; "
-                             f"expected one of {sorted(SCENARIOS)}")
+                             f"expected one of {sorted(known)}")
+
+    @property
+    def server_count(self) -> int:
+        """Servers the run builds.  Bohm runs one sequencer node: its total
+        order *is* its concurrency control, and one arrival point defines
+        it."""
+        if self.protocol == "bohm":
+            return 1
+        return (self.num_servers if self.num_servers is not None
+                else self.profile.num_servers)
 
 
 @dataclass
@@ -329,8 +271,8 @@ class ClusterResult:
     #: every client drained before the deadline, plus the merged
     #: per-generator event counters.
     scenario_report: dict | None = None
-    #: Replication/durability outcome (``replication > 1`` or
-    #: ``durability="wal"`` only): failover promotions and latencies,
+    #: Replication/durability outcome (``config.replication`` or
+    #: ``config.wal`` only): failover promotions and latencies,
     #: quorum/snapshot-read counters, WAL record/checkpoint counts,
     #: follower-read staleness summary, and — with ``record_history`` — the
     #: ``scan_lost_commits`` audit (``lost_commits`` must be zero).
@@ -368,16 +310,8 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
     history = HistoryRecorder() if config.record_history else None
     tracer = Tracer(now_fn=lambda: sim.now) if config.trace else None
 
-    num_servers = (config.num_servers if config.num_servers is not None
-                   else config.profile.num_servers)
-    if config.protocol == "bohm":
-        # One sequencer node: Bohm's total order *is* its concurrency
-        # control, and a single arrival point defines it.
-        num_servers = 1
-    if config.replication > num_servers:
-        raise ValueError(f"replication={config.replication} needs at least "
-                         f"that many servers (have {num_servers})")
-    server_ids = [f"server-{i}" for i in range(num_servers)]
+    repl = config.replication
+    server_ids = [f"server-{i}" for i in range(config.server_count)]
     consensus = None
     acceptors_by_sid: dict[str, Any] = {}
     if config.commitment == "paxos" and config.protocol != "2pl":
@@ -400,14 +334,14 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                 sim, net, sid, config.profile, rngs.stream(),
                 history=history, queue_capacity=config.queue_capacity))
         else:
-            durable = (DurableStore(checkpoint_every=config.checkpoint_every)
-                       if config.durability == "wal" else None)
+            durable = (DurableStore(checkpoint_every=WAL_CHECKPOINT_EVERY)
+                       if config.wal else None)
             servers.append(MVTLServer(
                 sim, net, sid, config.profile, rngs.stream(), registry,
                 write_lock_timeout=config.write_lock_timeout,
                 consensus=consensus, history=history,
                 queue_capacity=config.queue_capacity,
-                durable=durable, replicated=config.replication > 1))
+                durable=durable, replicated=repl is not None))
     if tracer is not None:
         for server in servers:
             server.tracer = tracer
@@ -415,8 +349,8 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
     # factor (same group hash, leader = the group's ring head); keeping
     # Partition for the unreplicated path preserves the seed object graph.
     partition = (ReplicatedPlacement(server_ids,
-                                     replication=config.replication)
-                 if config.replication > 1 else Partition(server_ids))
+                                     replication=REPLICATION_FACTOR)
+                 if repl is not None else Partition(server_ids))
 
     stats = RunStats(sim, config.warmup, config.measure)
     stats.record_completions = config.record_completions
@@ -448,17 +382,17 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                       rpc_retries=config.rpc_retries,
                       validate_epochs=validate,
                       tx_budget=config.tx_budget,
-                      admission_control=config.admission_control,
-                      breaker_threshold=config.breaker_threshold,
-                      breaker_cooldown=config.breaker_cooldown)
+                      admission=config.admission)
         if config.protocol in ("mvtil-early", "mvtil-late"):
             client = MVTILClient(sim, net, cid, pid, partition, clock,
                                  registry, delta=config.delta,
                                  late=config.protocol.endswith("late"),
                                  read_timeout=config.read_timeout,
                                  defer_writes=config.batching,
-                                 follower_reads=config.follower_reads,
-                                 reliable_fanout=config.reliable_fanout,
+                                 follower_reads=(repl is not None
+                                                 and repl.follower_reads),
+                                 reliable_fanout=(repl is not None
+                                                  and repl.reliable_fanout),
                                  **common)
         elif config.protocol == "mvto":
             client = MVTOClient(sim, net, cid, pid, partition, clock,
@@ -472,14 +406,13 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                                 **{**common, "history": None})
         else:
             client = TwoPLClient(sim, net, cid, pid, partition, clock,
-                                 registry, lock_timeout=config.lock_timeout,
-                                 **common)
+                                 registry, **common)
         clients.append(client)
         # Scenario generators replace the WorkloadGenerator *in place* —
         # the same single stream draw at the same position — so seeds for
         # scenario-less configs are bit-for-bit unchanged.
         if config.scenario is not None:
-            workload: Any = make_scenario_generator(
+            workload: Any = scenarios.make_scenario_generator(
                 config.scenario, config.workload, rngs.stream(),
                 client_index=i, num_clients=config.num_clients)
             scenario_gens.append(workload)
@@ -502,24 +435,17 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
         schedule = ChaosSchedule.generate(
             config.chaos, chaos_rng, client_ids, server_ids,
             start=config.warmup, end=config.warmup + config.measure,
-            num_groups=(partition.num_groups
-                        if config.replication > 1 else None))
+            num_groups=partition.num_groups if repl is not None else None)
         schedule.apply(injector, client_procs,
                        {s.server_id: s for s in servers},
                        extras=acceptors_by_sid, placement=partition)
 
     controller = None
-    if config.replication > 1:
+    if repl is not None:
         # The failover controller draws from no RNG stream and (until a
         # promotion) only exchanges heartbeats, so enabling replication
         # perturbs nothing else about the run.
-        controller = FailoverController(
-            sim, net, partition,
-            interval=config.heartbeat_interval,
-            miss_limit=config.heartbeat_miss_limit,
-            anti_entropy=config.anti_entropy,
-            recruit=config.recruitment,
-            sync_batch=config.sync_batch)
+        controller = FailoverController(sim, net, partition, repl)
         controller.start()
 
     service = TimestampService(sim, net, server_ids, client_ids,
@@ -533,24 +459,9 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
         sampler = StateSampler(sim, servers, config.state_sample_period)
         sim.spawn(sampler.process(), name="state-sampler")
 
-    metrics_reg = MetricsRegistry() if config.trace else None
-    if config.trace and config.queue_sample_period > 0:
-        # Note: unlike the tracer, the sampler *does* schedule simulator
-        # events, so queue-depth sampling is opt-in separately — it can
-        # reorder same-time event ties against an unsampled run.
-        def queue_sampler():
-            depth = metrics_reg.gauge("server.queue_depth")
-            busy = metrics_reg.gauge("server.busy_slots")
-            while True:
-                yield Sleep(config.queue_sample_period)
-                depth.set(sum(s.queue.queue_length for s in servers))
-                busy.set(sum(s.queue.busy_slots for s in servers))
-
-        sim.spawn(queue_sampler(), name="queue-sampler")
-
     sim.run_until(config.warmup + config.measure)
 
-    if chaos_on or config.faults is not None or config.replication > 1:
+    if chaos_on or config.faults is not None or repl is not None:
         # Settle: run past the measurement window long enough for every
         # server-side write-lock timeout armed inside it to fire and its
         # decision to be applied (Theorems 9-10 liveness), so the orphan
@@ -627,7 +538,7 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
         }
 
     replication_report = None
-    if config.replication > 1 or config.durability == "wal":
+    if repl is not None or config.wal:
         promotions = list(controller.promotions) if controller else []
         failover_latencies = []
         if controller is not None and injector is not None:
@@ -644,8 +555,6 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
             lat for s in servers
             for lat in getattr(s, "resync_latencies", []))
         replication_report = {
-            "replication": config.replication,
-            "durability": config.durability,
             "promotions": [(t, gid, str(old), str(new), ep)
                            for (t, gid, old, new, ep) in promotions],
             "failover_latencies": failover_latencies,
@@ -720,7 +629,7 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                 "max": staleness[-1] if staleness else 0.0,
             },
         }
-        if history is not None and config.replication > 1:
+        if history is not None and repl is not None:
             # Audit the measurement window only: the settle period drains
             # its commit fan-outs, but commits decided *during* settle can
             # be mid-flight when the simulation halts.
@@ -742,6 +651,7 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
 
     metrics = None
     if config.trace:
+        metrics_reg = MetricsRegistry()
         fold_trace(tracer.events, metrics_reg)
         for server in servers:
             merge_conflict_counts(metrics_reg, server.conflicts)

@@ -152,7 +152,7 @@ class ChaosConfig:
     #: Replication-mode failover scenario: this many times, crash whatever
     #: server currently *leads* a randomly drawn key group (resolved at
     #: fire time) and restart it ``leader_downtime`` seconds later as a
-    #: cold standby.  Requires ``ClusterConfig.replication > 1`` — the
+    #: cold standby.  Requires ``ClusterConfig.replication`` — the
     #: failover controller must exist to promote a follower.
     leader_crashes: int = 0
     leader_downtime: float = 0.5
@@ -161,7 +161,7 @@ class ChaosConfig:
     #: fire time, never the leader) and restart it ``follower_downtime``
     #: seconds later.  The restarted follower comes back dirty and must
     #: re-earn snapshot-servability through anti-entropy sync.  Requires
-    #: ``ClusterConfig.replication > 1``.
+    #: ``ClusterConfig.replication``.
     follower_restarts: int = 0
     follower_downtime: float = 0.3
 

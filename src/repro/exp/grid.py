@@ -13,7 +13,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..dist.cluster import ClusterConfig
+from ..dist.cluster import ClusterConfig, ReplicationConfig, SelfHealConfig
 from ..sim.testbed import LOCAL_TESTBED
 from ..workload.generator import WorkloadConfig
 
@@ -118,9 +118,8 @@ def failover_grid(seed: int = 1, measure: float = 2.5) -> list[Cell]:
         num_servers=3, num_clients=10, seed=int(seed),
         warmup=1.5, measure=measure, gc_period=0.2,
         write_lock_timeout=0.25, rpc_timeout=0.15)
-    repl = replace(base, replication=3, durability="wal",
-                   checkpoint_every=64, follower_reads=True,
-                   record_history=True)
+    repl = replace(base, replication=ReplicationConfig(follower_reads=True),
+                   wal=True, record_history=True)
     cells = [
         Cell(key=("baseline", 1, int(seed)), config=base),
         Cell(key=("repl-steady", 3, int(seed)), config=repl),
@@ -159,10 +158,11 @@ def selfheal_grid(seed: int = 1, measure: float = 3.5) -> list[Cell]:
     faults = LinkFaults(loss=0.03, duplicate=0.02, delay_spike=0.01)
     chaos = ChaosConfig(leader_crashes=1, leader_downtime=0.6,
                         follower_restarts=1, follower_downtime=0.3)
-    healing = dict(num_servers=4, replication=3, durability="wal",
-                   checkpoint_every=64, anti_entropy=True, recruitment=True,
-                   reliable_fanout=True, sync_batch=1,
-                   heartbeat_miss_limit=5, write_lock_timeout=0.25,
+    healed = ReplicationConfig(
+        reliable_fanout=True, heartbeat_miss_limit=5,
+        self_heal=SelfHealConfig(recruitment=True, sync_batch=1))
+    reads = replace(healed, follower_reads=True)
+    healing = dict(num_servers=4, wal=True, write_lock_timeout=0.25,
                    rpc_timeout=0.15, rpc_retries=3, faults=faults,
                    chaos=chaos)
     main = ClusterConfig(
@@ -172,15 +172,17 @@ def selfheal_grid(seed: int = 1, measure: float = 3.5) -> list[Cell]:
                                 write_fraction=0.3),
         num_clients=10, seed=int(seed),
         warmup=1.5, measure=measure, gc_period=0.2,
-        follower_reads=True, record_history=True, **healing)
+        replication=reads, record_history=True, **healing)
     cells = [
         Cell(key=("selfheal", 3, int(seed)), config=main),
         Cell(key=("scenario-chaos", "bank-transfer", int(seed)),
              config=scenario_config("bank-transfer", seed=int(seed),
-                                    warmup=0.5, measure=2.5, **healing)),
+                                    warmup=0.5, measure=2.5,
+                                    replication=healed, **healing)),
         Cell(key=("scenario-chaos", "scan-vs-oltp", int(seed)),
              config=scenario_config("scan-vs-oltp", seed=int(seed),
-                                    measure=2.5, **healing)),
+                                    measure=2.5, replication=reads,
+                                    **healing)),
     ]
     _check_unique(cells)
     return cells

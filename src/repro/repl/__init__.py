@@ -24,12 +24,16 @@ reads at a locked (GC-frontier) timestamp are version-clean.
 from .checkpoint import DurableStore, RecoveredState, decode_snapshot, \
     encode_snapshot
 from .placement import ReplicatedPlacement, group_index
-from .replica import FailoverController, scan_lost_commits, write_quorum
+from .replica import (HEARTBEAT_INTERVAL, REPLICATION_FACTOR,
+                      FailoverController, ReplicationConfig, SelfHealConfig,
+                      scan_lost_commits, write_quorum)
 from .wal import WriteAheadLog, decode_value, encode_value, replay_records
 
 __all__ = [
     "WriteAheadLog", "encode_value", "decode_value", "replay_records",
     "DurableStore", "RecoveredState", "encode_snapshot", "decode_snapshot",
     "ReplicatedPlacement", "group_index",
-    "FailoverController", "write_quorum", "scan_lost_commits",
+    "REPLICATION_FACTOR", "HEARTBEAT_INTERVAL", "ReplicationConfig",
+    "SelfHealConfig", "FailoverController", "write_quorum",
+    "scan_lost_commits",
 ]

@@ -24,11 +24,57 @@ a real, measurable quantity: ``promotion time - crash time``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Hashable, Mapping
 
 from .placement import ReplicatedPlacement
 
-__all__ = ["write_quorum", "FailoverController", "scan_lost_commits"]
+__all__ = ["REPLICATION_FACTOR", "HEARTBEAT_INTERVAL", "ReplicationConfig",
+           "SelfHealConfig", "write_quorum", "FailoverController",
+           "scan_lost_commits"]
+
+#: Members per key group of a replicated cluster: a leader and two
+#: followers, so one crash still leaves a write quorum.
+REPLICATION_FACTOR = 3
+#: Failover controller ping period (simulated seconds).
+HEARTBEAT_INTERVAL = 0.05
+
+
+@dataclass(frozen=True)
+class SelfHealConfig:
+    """Anti-entropy (DESIGN.md §5h): restarted members re-earn servability
+    by syncing missed commits from their group leaders."""
+
+    #: After every promotion, catch up a clean outside server and swap it
+    #: into the demoted leader's slot, so the group keeps its quorum.
+    recruitment: bool = False
+    #: Versions per SyncDelta batch (bounds sync message size/CPU).
+    sync_batch: int = 64
+
+    def __post_init__(self) -> None:
+        if self.sync_batch < 1:
+            raise ValueError("sync_batch must be >= 1")
+
+
+@dataclass(frozen=True)
+class ReplicationConfig:
+    """Key groups of ``REPLICATION_FACTOR`` servers behind one leader,
+    with quorum-mirrored write locks and commit fan-out (DESIGN.md §5e)."""
+
+    #: Serve read-only transactions from followers at the locked GC-floor
+    #: snapshot timestamp instead of running the interval protocol.
+    follower_reads: bool = False
+    #: Acked, retried commit fan-out (CommitAck) instead of the paper's
+    #: fire-and-forget notification: the hardening for lossy links.
+    reliable_fanout: bool = False
+    #: Consecutive missed heartbeats that declare a leader dead.
+    heartbeat_miss_limit: int = 3
+    #: Anti-entropy (and optionally recruitment); None = off.
+    self_heal: SelfHealConfig | None = None
+
+    def __post_init__(self) -> None:
+        if self.heartbeat_miss_limit < 1:
+            raise ValueError("heartbeat_miss_limit must be >= 1")
 
 
 def write_quorum(replication: int) -> int:
@@ -39,8 +85,8 @@ def write_quorum(replication: int) -> int:
 class FailoverController:
     """Heartbeat-driven leader failure detection and follower promotion.
 
-    Every ``interval`` seconds the controller pings all group members; a
-    leader that misses ``miss_limit`` consecutive beats — or answers with a
+    Every ``HEARTBEAT_INTERVAL`` the controller pings all group members; a
+    leader that misses ``heartbeat_miss_limit`` beats — or answers with a
     *changed* restart epoch, proving it crashed and lost its volatile lock
     state — is demoted.  The replacement is the live follower with the
     freshest applied-commit count, preferring members that never restarted
@@ -51,19 +97,17 @@ class FailoverController:
     is a pure function of the heartbeat history and replays identically
     under a fixed seed.
 
-    With ``anti_entropy`` the controller also drives the §5h self-healing
+    With ``self_heal`` the controller also drives the §5h self-healing
     loop: dirty members are poked to stream missing committed versions
     from their group leaders until they re-earn snapshot servability, and
-    with ``recruit`` each demoted leader's slot is re-filled by catching
+    with ``recruitment`` each demoted leader's slot is re-filled by catching
     up a clean outside server and flipping the placement (epoch bump).
     """
 
     node_id = "__failover__"
 
     def __init__(self, sim: Any, net: Any, placement: ReplicatedPlacement,
-                 *, interval: float = 0.05, miss_limit: int = 3,
-                 anti_entropy: bool = False, recruit: bool = False,
-                 sync_batch: int = 64) -> None:
+                 config: ReplicationConfig = ReplicationConfig()) -> None:
         # Deferred import: repro.dist imports this package at module load.
         from ..dist.messages import (HeartbeatReply, HeartbeatReq, SyncDone,
                                      SyncPoke)
@@ -74,11 +118,10 @@ class FailoverController:
         self.sim = sim
         self.net = net
         self.placement = placement
-        self.interval = interval
-        self.miss_limit = miss_limit
-        self.anti_entropy = anti_entropy
-        self.recruit_enabled = recruit
-        self.sync_batch = sync_batch
+        self.miss_limit = config.heartbeat_miss_limit
+        self.self_heal = config.self_heal
+        self.recruit_enabled = (config.self_heal is not None
+                                and config.self_heal.recruitment)
         members: set[Hashable] = set()
         for gid in placement.groups():
             members.update(placement.members(gid))
@@ -112,7 +155,7 @@ class FailoverController:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        self.sim.schedule(self.interval, self._tick)
+        self.sim.schedule(HEARTBEAT_INTERVAL, self._tick)
 
     def _tick(self) -> None:
         # 1. Account a miss for every server whose last ping went unanswered.
@@ -141,7 +184,7 @@ class FailoverController:
         # 4. Self-healing: recruit replacements, then poke dirty members.
         if self.recruit_enabled:
             self._drive_recruitment()
-        if self.anti_entropy:
+        if self.self_heal is not None:
             self._drive_sync()
         # 5. Ping everyone again.
         for sid in self._pool:
@@ -151,7 +194,7 @@ class FailoverController:
             self._outstanding[sid] = self._seq
             self.heartbeats_sent += 1
             self.net.send(sid, req, src=self.node_id)
-        self.sim.schedule(self.interval, self._tick)
+        self.sim.schedule(HEARTBEAT_INTERVAL, self._tick)
 
     # -- self-healing (DESIGN.md §5h) ---------------------------------------
 
@@ -161,7 +204,7 @@ class FailoverController:
         self.net.send(sid, self._poke_cls(sources=sources, full=full,
                                           mark_dirty=mark_dirty,
                                           num_groups=self.placement.num_groups,
-                                          batch=self.sync_batch,
+                                          batch=self.self_heal.sync_batch,
                                           origin=self.node_id),
                       src=self.node_id)
 

@@ -547,18 +547,20 @@ class Scenario:
 
 
 def _scan_vs_oltp_overrides() -> dict:
+    from ..repl.replica import ReplicationConfig
     from ..sim.testbed import LOCAL_TESTBED
     # Short GC horizon + period: the purge floor is the snapshot timestamp
     # follower reads lock, so it must advance well inside the run; warmup
     # outlasts the first floor broadcast so measured scans hit followers.
     return dict(protocol="mvtil-early", num_clients=8, num_servers=3,
-                replication=3, follower_reads=True,
+                replication=ReplicationConfig(follower_reads=True),
                 profile=replace(LOCAL_TESTBED, gc_horizon=1.0),
                 gc_period=0.2, warmup=1.2, measure=1.5,
                 record_history=True)
 
 
 def _flash_crowd_overrides() -> dict:
+    from ..dist.client import AdmissionConfig
     from ..sim.testbed import CLOUD_TESTBED
     # Deliberately scarce capacity (the PR-4 overload testbed): 4
     # single-slot servers at 1 ms/request saturate under a few dozen
@@ -566,8 +568,8 @@ def _flash_crowd_overrides() -> dict:
     profile = replace(CLOUD_TESTBED, num_servers=4, service_time=1e-3)
     return dict(protocol="mvtil-early", num_clients=24, profile=profile,
                 warmup=0.4, measure=1.2, queue_capacity=16, tx_budget=0.15,
-                admission_control=True, breaker_threshold=8,
-                breaker_cooldown=0.1, read_timeout=0.04, rpc_timeout=0.08,
+                admission=AdmissionConfig(threshold=8, cooldown=0.1),
+                read_timeout=0.04, rpc_timeout=0.08,
                 rpc_retries=1, record_history=True)
 
 

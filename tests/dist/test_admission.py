@@ -15,7 +15,7 @@ import pytest
 from repro.clocks import PerfectClock
 from repro.core.exceptions import AbortReason, TransactionAborted
 from repro.core.timestamp import Timestamp
-from repro.dist.client import CircuitBreaker, MVTILClient
+from repro.dist.client import AdmissionConfig, CircuitBreaker, MVTILClient
 from repro.dist.cluster import ClusterConfig, run_cluster
 from repro.dist.commitment import CommitmentRegistry
 from repro.dist.messages import CommitReq, GcReq, MVTLReadReq, ReleaseReq
@@ -222,7 +222,7 @@ class TestAdmissionControl:
         return breaker
 
     def test_normal_tx_rejected_against_tripped_server(self):
-        cluster = Cluster(admission_control=True, breaker_cooldown=5.0)
+        cluster = Cluster(admission=AdmissionConfig(cooldown=5.0))
         client = cluster.client("c", 1)
         self.trip(client)
 
@@ -236,7 +236,7 @@ class TestAdmissionControl:
         assert cluster.server.stats["requests"] == 0  # gated client-side
 
     def test_critical_tx_bypasses_tripped_breaker(self):
-        cluster = Cluster(admission_control=True, breaker_cooldown=5.0)
+        cluster = Cluster(admission=AdmissionConfig(cooldown=5.0))
         client = cluster.client("c", 1)
         self.trip(client)
 
@@ -251,7 +251,7 @@ class TestAdmissionControl:
         assert client.stats["commits"] == 1
 
     def test_halfopen_probe_recovers_breaker(self):
-        cluster = Cluster(admission_control=True, breaker_cooldown=0.05)
+        cluster = Cluster(admission=AdmissionConfig(cooldown=0.05))
         client = cluster.client("c", 1)
         breaker = self.trip(client)
 
@@ -312,8 +312,8 @@ class TestClusterOverloadRun:
                                     write_fraction=0.25,
                                     critical_fraction=0.2),
             num_clients=16, seed=seed, warmup=0.25, measure=1.0,
-            queue_capacity=4, tx_budget=0.2, admission_control=True,
-            breaker_threshold=4, breaker_cooldown=0.05,
+            queue_capacity=4, tx_budget=0.2,
+            admission=AdmissionConfig(threshold=4, cooldown=0.05),
             read_timeout=0.05, rpc_timeout=0.1)
 
     def test_same_seed_same_overload_counters(self):
@@ -340,7 +340,7 @@ class TestClusterOverloadRun:
 
     def test_unbounded_baseline_never_sheds(self):
         config = replace(self.overload_config(), queue_capacity=None,
-                         tx_budget=None, admission_control=False)
+                         tx_budget=None, admission=None)
         res = run_cluster(config)
         rep = res.overload_report
         assert rep["shed"] == 0

@@ -13,12 +13,13 @@ import numpy as np
 
 from repro.clocks import PerfectClock
 from repro.dist.client import MVTILClient
-from repro.dist.cluster import ClusterConfig, run_cluster
+from repro.dist.cluster import ClusterConfig, ReplicationConfig, run_cluster
 from repro.dist.commitment import CommitmentRegistry
 from repro.dist.failure import ChaosConfig, orphaned_write_locks
 from repro.dist.messages import CommitReq
 from repro.dist.partition import Partition
 from repro.dist.server import MVTLServer, _APPLIED
+from repro.repl import HEARTBEAT_INTERVAL
 from repro.repl.checkpoint import DurableStore
 from repro.sim.network import LatencyModel, Network
 from repro.sim.simulator import Simulator
@@ -146,7 +147,7 @@ _BASE = ClusterConfig(
 
 class TestWalRestart:
     def test_wal_restart_chaos_is_deterministic_and_serializable(self):
-        config = replace(_BASE, durability="wal", checkpoint_every=64,
+        config = replace(_BASE, wal=True,
                          chaos=ChaosConfig(client_crashes=2,
                                            server_restarts=2,
                                            downtime=0.3))
@@ -163,8 +164,7 @@ class TestWalRestart:
 
 class TestReplication:
     def test_quorum_convergence_no_lost_commits(self):
-        config = replace(_BASE, replication=3, durability="wal",
-                         checkpoint_every=64)
+        config = replace(_BASE, replication=ReplicationConfig(), wal=True)
         runs = [run_cluster(config) for _ in range(2)]
         res = runs[0]
         rep = res.replication_report
@@ -177,8 +177,9 @@ class TestReplication:
         assert check_serializable(res.history).serializable
 
     def test_follower_reads_are_served_and_serializable(self):
-        config = replace(_BASE, replication=3, durability="wal",
-                         checkpoint_every=64, follower_reads=True)
+        config = replace(_BASE,
+                         replication=ReplicationConfig(follower_reads=True),
+                         wal=True)
         res = run_cluster(config)
         rep = res.replication_report
         assert rep["follower_reads"] > 0
@@ -189,8 +190,9 @@ class TestReplication:
         assert check_serializable(res.history).serializable
 
     def test_leader_crash_promotes_follower_without_losing_commits(self):
-        config = replace(_BASE, replication=3, durability="wal",
-                         checkpoint_every=64, follower_reads=True,
+        config = replace(_BASE,
+                         replication=ReplicationConfig(follower_reads=True),
+                         wal=True,
                          chaos=ChaosConfig(leader_crashes=1,
                                            leader_downtime=0.4))
         runs = [run_cluster(config) for _ in range(2)]
@@ -199,9 +201,9 @@ class TestReplication:
         assert _outcome(runs[0]) == _outcome(runs[1])
         assert res.committed > 0
         assert len(rep["promotions"]) >= 1
-        bound = (config.heartbeat_interval
-                 * (config.heartbeat_miss_limit + 2)
-                 + config.heartbeat_interval)
+        bound = (HEARTBEAT_INTERVAL
+                 * (config.replication.heartbeat_miss_limit + 2)
+                 + HEARTBEAT_INTERVAL)
         assert all(lat <= bound for lat in rep["failover_latencies"])
         assert rep["lost_commits"] == 0
         assert res.chaos_report["orphaned_write_locks"] == 0

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.timestamp import Timestamp
-from repro.dist.cluster import ClusterConfig, run_cluster
+from repro.dist.cluster import (ClusterConfig, ReplicationConfig,
+                                SelfHealConfig, run_cluster)
 from repro.dist.failure import ChaosConfig
 from repro.repl import replica as replica_mod
 from repro.repl.placement import ReplicatedPlacement
@@ -35,9 +36,9 @@ _BASE = ClusterConfig(
     num_servers=4, num_clients=6, seed=7,
     warmup=1.0, measure=2.0, gc_period=0.15,
     write_lock_timeout=0.25, rpc_timeout=0.1, rpc_retries=3,
-    replication=3, durability="wal", checkpoint_every=64,
-    follower_reads=True, record_history=True,
-    anti_entropy=True, sync_batch=8)
+    replication=ReplicationConfig(follower_reads=True,
+                                  self_heal=SelfHealConfig(sync_batch=8)),
+    wal=True, record_history=True)
 
 
 def _outcome(res):
@@ -91,8 +92,11 @@ class TestAntiEntropy:
 
 class TestRecruitment:
     def test_leader_crash_recruits_a_replacement_member(self):
-        config = replace(_BASE, recruitment=True, reliable_fanout=True,
-                         heartbeat_miss_limit=5,
+        config = replace(_BASE, replication=ReplicationConfig(
+                             follower_reads=True, reliable_fanout=True,
+                             heartbeat_miss_limit=5,
+                             self_heal=SelfHealConfig(recruitment=True,
+                                                      sync_batch=8)),
                          chaos=ChaosConfig(leader_crashes=1,
                                            leader_downtime=0.6))
         runs = [run_cluster(config) for _ in range(2)]
@@ -258,7 +262,7 @@ class TestLossyLinkConvergence:
             workload=WorkloadConfig(num_keys=300, tx_size=3,
                                     write_fraction=0.4),
             num_clients=4, seed=seed, warmup=0.6, measure=1.0,
-            reliable_fanout=True,
+            replication=replace(_BASE.replication, reliable_fanout=True),
             faults=LinkFaults(loss=loss, duplicate=dup, delay_spike=0.01))
         res = run_cluster(config)
         rep = res.replication_report

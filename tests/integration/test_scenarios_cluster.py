@@ -8,7 +8,7 @@ put scenario scans on the follower-read path under ``replication > 1``.
 
 import pytest
 
-from repro.dist.cluster import ClusterConfig, run_cluster
+from repro.dist.cluster import ClusterConfig, ReplicationConfig, run_cluster
 from repro.workload.scenarios import check_scenario, scenario_config
 
 
@@ -85,8 +85,9 @@ class TestFollowerReadRouting:
         # of *any* shape route to snapshot reads).
         config = scenario_config("secondary-index", seed=23,
                                  num_clients=4, warmup=1.2, measure=0.6,
-                                 num_servers=3, replication=3,
-                                 follower_reads=True, gc_period=0.2)
+                                 num_servers=3, gc_period=0.2,
+                                 replication=ReplicationConfig(
+                                     follower_reads=True))
         from dataclasses import replace
         config = replace(config, profile=replace(config.profile,
                                                  gc_horizon=1.0))
